@@ -17,11 +17,19 @@ use crate::sstable::{SsEntry, SsTableIter};
 pub trait EntrySource {
     /// Next entry or `None` when exhausted.
     fn next_entry(&mut self) -> Result<Option<SsEntry>>;
+
+    /// Entries this source has materialised so far: decoded from disk, or
+    /// copied into memory up front.
+    fn entries_visited(&self) -> u64;
 }
 
 impl EntrySource for SsTableIter {
     fn next_entry(&mut self) -> Result<Option<SsEntry>> {
         SsTableIter::next_entry(self)
+    }
+
+    fn entries_visited(&self) -> u64 {
+        self.entries_decoded()
     }
 }
 
@@ -30,6 +38,7 @@ impl EntrySource for SsTableIter {
 #[derive(Debug)]
 pub struct VecSource {
     entries: std::vec::IntoIter<SsEntry>,
+    len: u64,
 }
 
 impl VecSource {
@@ -37,6 +46,7 @@ impl VecSource {
     pub fn new(entries: Vec<SsEntry>) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].key < w[1].key));
         VecSource {
+            len: entries.len() as u64,
             entries: entries.into_iter(),
         }
     }
@@ -45,6 +55,11 @@ impl VecSource {
 impl EntrySource for VecSource {
     fn next_entry(&mut self) -> Result<Option<SsEntry>> {
         Ok(self.entries.next())
+    }
+
+    /// The whole snapshot: it was copied out when the source was built.
+    fn entries_visited(&self) -> u64 {
+        self.len
     }
 }
 
@@ -102,6 +117,11 @@ impl MergeIter {
             }
         }
         Ok(Some(entry))
+    }
+
+    /// Entries materialised across every source so far.
+    pub(crate) fn entries_visited(&self) -> u64 {
+        self.sources.iter().map(|s| s.entries_visited()).sum()
     }
 
     /// Next live entry: skips tombstones.

@@ -15,7 +15,9 @@
 //!   and per-region checksums.
 //! * Reads consult the memtable, then SSTables newest-first; bloom filters
 //!   and min/max key fences prune tables that cannot contain the key.
-//! * Range scans [merge](iter) all levels, newest version wins.
+//! * Range scans [merge](iter) all levels, newest version wins. A scan
+//!   copies only the memtable entries inside its range and skips SSTables
+//!   whose key span misses it, so it costs what it returns.
 //! * A full-merge [compaction](store::KvStore::compact) folds all tables
 //!   into one, dropping shadowed versions and tombstones.
 //!

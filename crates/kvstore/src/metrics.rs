@@ -12,6 +12,8 @@ pub struct Metrics {
     pub(crate) puts: AtomicU64,
     pub(crate) deletes: AtomicU64,
     pub(crate) range_scans: AtomicU64,
+    pub(crate) range_entries_visited: AtomicU64,
+    pub(crate) range_entries_returned: AtomicU64,
     pub(crate) bloom_negatives: AtomicU64,
     pub(crate) bloom_false_positives: AtomicU64,
     pub(crate) sstable_point_reads: AtomicU64,
@@ -37,6 +39,13 @@ impl Metrics {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Charge one finished (or dropped) range scan's work: two atomic adds
+    /// per scan, never one per entry.
+    pub(crate) fn record_scan(&self, visited: u64, returned: u64) {
+        Self::add(&self.range_entries_visited, visited);
+        Self::add(&self.range_entries_returned, returned);
+    }
+
     /// Capture a point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -44,6 +53,8 @@ impl Metrics {
             puts: self.puts.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
             range_scans: self.range_scans.load(Ordering::Relaxed),
+            range_entries_visited: self.range_entries_visited.load(Ordering::Relaxed),
+            range_entries_returned: self.range_entries_returned.load(Ordering::Relaxed),
             bloom_negatives: self.bloom_negatives.load(Ordering::Relaxed),
             bloom_false_positives: self.bloom_false_positives.load(Ordering::Relaxed),
             sstable_point_reads: self.sstable_point_reads.load(Ordering::Relaxed),
@@ -71,6 +82,15 @@ pub struct MetricsSnapshot {
     pub deletes: u64,
     /// Range iterators constructed.
     pub range_scans: u64,
+    /// Entries range scans materialised: every entry copied out of the
+    /// memtable snapshot plus every SSTable entry decoded, tombstones and
+    /// shadowed versions included. Charged when a scan finishes or is
+    /// dropped.
+    pub range_entries_visited: u64,
+    /// Live entries range scans handed to their callers. A scan whose
+    /// `range_entries_visited` far exceeds this paid for keys outside its
+    /// range.
+    pub range_entries_returned: u64,
     /// Point reads short-circuited by a bloom filter.
     pub bloom_negatives: u64,
     /// Bloom probes that said "maybe" but the SSTable had no entry.
@@ -108,6 +128,12 @@ impl MetricsSnapshot {
             puts: self.puts.saturating_sub(earlier.puts),
             deletes: self.deletes.saturating_sub(earlier.deletes),
             range_scans: self.range_scans.saturating_sub(earlier.range_scans),
+            range_entries_visited: self
+                .range_entries_visited
+                .saturating_sub(earlier.range_entries_visited),
+            range_entries_returned: self
+                .range_entries_returned
+                .saturating_sub(earlier.range_entries_returned),
             bloom_negatives: self.bloom_negatives.saturating_sub(earlier.bloom_negatives),
             bloom_false_positives: self
                 .bloom_false_positives
@@ -138,8 +164,13 @@ impl std::fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "gets {}  puts {}  deletes {}  range_scans {}",
-            self.gets, self.puts, self.deletes, self.range_scans
+            "gets {}  puts {}  deletes {}  range_scans {}  range_entries_visited {}  range_entries_returned {}",
+            self.gets,
+            self.puts,
+            self.deletes,
+            self.range_scans,
+            self.range_entries_visited,
+            self.range_entries_returned
         )?;
         writeln!(
             f,
@@ -188,8 +219,10 @@ mod tests {
         Metrics::incr(&m.gets);
         Metrics::incr(&m.wal_fsyncs);
         Metrics::add(&m.compaction_bytes_read, 512);
+        m.record_scan(7, 3);
         let d = m.snapshot().diff(&earlier);
         assert_eq!(d.gets, 1);
+        assert_eq!((d.range_entries_visited, d.range_entries_returned), (7, 3));
         assert_eq!(d.wal_fsyncs, 1);
         assert_eq!(d.compaction_bytes_read, 512);
         // Saturation: diffing the other way round yields zero, not wrap.
@@ -201,6 +234,8 @@ mod tests {
         let text = MetricsSnapshot::default().to_string();
         for field in [
             "gets",
+            "range_entries_visited",
+            "range_entries_returned",
             "bloom_false_positives",
             "wal_fsyncs",
             "group_commits",

@@ -18,7 +18,8 @@
 //! validation would double I/O on the hot path for no benefit at this scale.
 
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Write};
+use std::ops::Bound;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -34,6 +35,12 @@ const MAGIC: u64 = 0x7355_7374_6232_3031; // "sUstb201"
 const FOOTER_LEN: usize = 72;
 const TAG_VALUE: u8 = 1;
 const TAG_TOMBSTONE: u8 = 2;
+/// Read-ahead for [`SsTableReader::seek`] and [`SsTableReader::get`]: about
+/// one sparse-index segment of typical entries, so a short scan or a point
+/// read costs one small positioned read.
+const SEEK_BUF_BYTES: usize = 4 << 10;
+/// Read-ahead for whole-table [`SsTableReader::iter`] (compaction input).
+const ITER_BUF_BYTES: usize = 64 << 10;
 
 fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -265,13 +272,17 @@ pub struct SsEntry {
 
 /// An open, immutable SSTable.
 ///
-/// Cheap to share: wrap in `Arc` (the store does). Point reads use
-/// positioned reads on the file descriptor; range scans stream through a
-/// dedicated buffered reader.
+/// Cheap to share: wrap in `Arc` (the store does). The file is opened once,
+/// here. Every read — point lookups, seeks, whole-table iteration and
+/// [`SsTableReader::verify`] — goes through positioned reads (`pread`) on
+/// that one descriptor, so no read reopens the file or moves a shared
+/// cursor. Each iterator holds its own clone of the `Arc<File>`: an
+/// iterator opened before a compaction deletes the table's file keeps
+/// reading the unlinked file until it is dropped.
 #[derive(Debug)]
 pub struct SsTableReader {
-    path: PathBuf,
-    file: File,
+    path: Arc<Path>,
+    file: Arc<File>,
     data_len: u64,
     data_crc: u32,
     index: Vec<IndexEntry>,
@@ -367,8 +378,8 @@ impl SsTableReader {
             .ok_or_else(|| Error::corruption(&path, "bad meta count"))?;
 
         Ok(Arc::new(SsTableReader {
-            path,
-            file,
+            path: path.into(),
+            file: Arc::new(file),
             data_len,
             data_crc,
             index,
@@ -408,6 +419,26 @@ impl SsTableReader {
         !self.bloom.may_contain(key)
     }
 
+    /// `false` when no key in `[min_key, max_key]` lies inside the range
+    /// `(start, end)` — i.e. a range scan can skip this table.
+    pub(crate) fn overlaps(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> bool {
+        if self.entry_count == 0 {
+            return false;
+        }
+        let (min, max) = (&self.min_key[..], &self.max_key[..]);
+        let above_start = match start {
+            Bound::Included(s) => max >= s,
+            Bound::Excluded(s) => max > s,
+            Bound::Unbounded => true,
+        };
+        let below_end = match end {
+            Bound::Included(e) => min <= e,
+            Bound::Excluded(e) => min < e,
+            Bound::Unbounded => true,
+        };
+        above_start && below_end
+    }
+
     /// Offset of the sparse-index segment that could contain `key`.
     fn segment_start(&self, key: &[u8]) -> u64 {
         // Greatest index entry with key <= target.
@@ -423,8 +454,7 @@ impl SsTableReader {
         if self.definitely_absent(key) {
             return Ok(None);
         }
-        let start = self.segment_start(key);
-        let mut iter = self.scan_from(start)?;
+        let mut iter = self.seek(key);
         while let Some(entry) = iter.next_entry()? {
             match entry.key[..].cmp(key) {
                 std::cmp::Ordering::Less => continue,
@@ -435,32 +465,35 @@ impl SsTableReader {
         Ok(None)
     }
 
-    /// Stream entries starting at absolute data offset `offset`.
-    pub fn scan_from(&self, offset: u64) -> Result<SsTableIter> {
-        let file = File::open(&self.path)
-            .map_err(|e| Error::io(format!("re-opening sstable {}", self.path.display()), e))?;
-        let mut reader = BufReader::with_capacity(64 << 10, file);
-        reader
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| Error::io(format!("seeking sstable {}", self.path.display()), e))?;
-        Ok(SsTableIter {
-            path: self.path.clone(),
-            reader,
+    /// Stream entries starting at absolute data offset `offset`, reading
+    /// ahead `buf_bytes` at a time. Opens nothing and does no I/O until
+    /// the first entry is decoded.
+    fn scan_from(&self, offset: u64, buf_bytes: usize) -> SsTableIter {
+        SsTableIter {
+            path: Arc::clone(&self.path),
+            reader: BufReader::with_capacity(
+                buf_bytes,
+                PreadReader {
+                    file: Arc::clone(&self.file),
+                    pos: offset,
+                },
+            ),
             pos: offset,
             data_len: self.data_len,
-        })
+            decoded: 0,
+        }
     }
 
     /// Stream all entries in key order.
-    pub fn iter(&self) -> Result<SsTableIter> {
-        self.scan_from(0)
+    pub fn iter(&self) -> SsTableIter {
+        self.scan_from(0, ITER_BUF_BYTES)
     }
 
     /// Stream entries with key `>= start`, using the sparse index to skip
     /// ahead. The caller must still discard leading entries `< start`
     /// (the iterator begins at a segment boundary).
-    pub fn seek(&self, start: &[u8]) -> Result<SsTableIter> {
-        self.scan_from(self.segment_start(start))
+    pub fn seek(&self, start: &[u8]) -> SsTableIter {
+        self.scan_from(self.segment_start(start), SEEK_BUF_BYTES)
     }
 
     /// Recompute the data-region checksum and compare with the footer.
@@ -479,28 +512,50 @@ impl SsTableReader {
             remaining -= n as u64;
         }
         if state ^ 0xFFFF_FFFF != self.data_crc {
-            return Err(Error::corruption(&self.path, "data checksum mismatch"));
+            return Err(Error::corruption(&*self.path, "data checksum mismatch"));
         }
         Ok(())
+    }
+}
+
+/// `Read` over a shared file at a private cursor: each call is one
+/// positioned read, so many cursors can share one descriptor.
+#[derive(Debug)]
+struct PreadReader {
+    file: Arc<File>,
+    pos: u64,
+}
+
+impl Read for PreadReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.file.read_at(buf, self.pos)?;
+        self.pos += n as u64;
+        Ok(n)
     }
 }
 
 /// Streaming cursor over an SSTable's data region.
 #[derive(Debug)]
 pub struct SsTableIter {
-    path: PathBuf,
-    reader: BufReader<File>,
+    path: Arc<Path>,
+    reader: BufReader<PreadReader>,
     pos: u64,
     data_len: u64,
+    decoded: u64,
 }
 
 impl SsTableIter {
+    /// Entries decoded so far (tombstones included).
+    pub(crate) fn entries_decoded(&self) -> u64 {
+        self.decoded
+    }
+
     /// Decode the next entry, or `None` at end of data.
     pub fn next_entry(&mut self) -> Result<Option<SsEntry>> {
         if self.pos >= self.data_len {
             return Ok(None);
         }
-        let corrupt = |d: &str| Error::corruption(self.path.clone(), d.to_string());
+        let corrupt = |d: &str| Error::corruption(&*self.path, d);
         let mut tag = [0u8; 1];
         self.reader
             .read_exact(&mut tag)
@@ -531,6 +586,7 @@ impl SsTableIter {
             TAG_TOMBSTONE => Slot::Tombstone,
             _ => return Err(corrupt("unknown entry tag")),
         };
+        self.decoded += 1;
         Ok(Some(SsEntry {
             key: Bytes::from(key),
             slot,
@@ -631,7 +687,7 @@ mod tests {
             &dir.file("i.sst"),
             &[("a", Some("1")), ("m", None), ("z", Some("26"))],
         );
-        let mut it = t.iter().unwrap();
+        let mut it = t.iter();
         let mut keys = Vec::new();
         while let Some(e) = it.next_entry().unwrap() {
             keys.push(e.key);
@@ -650,7 +706,7 @@ mod tests {
             .map(|(k, v)| (k.as_str(), Some(v.as_str())))
             .collect();
         let t = build_table(&dir.file("s.sst"), &refs);
-        let mut it = t.seek(b"k025").unwrap();
+        let mut it = t.seek(b"k025");
         let mut found = Vec::new();
         while let Some(e) = it.next_entry().unwrap() {
             if e.key[..] >= b"k025"[..] {
@@ -678,7 +734,7 @@ mod tests {
         let t = SsTableReader::open(dir.file("e.sst")).unwrap();
         assert_eq!(t.entry_count(), 0);
         assert!(t.get(b"anything").unwrap().is_none());
-        let mut it = t.iter().unwrap();
+        let mut it = t.iter();
         assert!(it.next_entry().unwrap().is_none());
     }
 

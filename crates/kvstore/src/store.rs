@@ -51,7 +51,9 @@ pub struct KvStore {
     dir: PathBuf,
     options: Options,
     inner: RwLock<Inner>,
-    metrics: Metrics,
+    /// Shared with every open [`RangeIter`], which charges its scan work
+    /// here when it finishes or is dropped.
+    metrics: Arc<Metrics>,
     tel: Telemetry,
     /// Leader/follower queue for [`Options::group_commit`].
     group: GroupCommit,
@@ -179,7 +181,7 @@ impl KvStore {
                 wal_num: new_wal_num,
                 next_file,
             }),
-            metrics: Metrics::default(),
+            metrics: Arc::default(),
             group_probe: QueueProbe::new(&tel, "kv.group"),
             tel,
             group: GroupCommit::default(),
@@ -515,22 +517,26 @@ impl KvStore {
     /// The iterator sees a snapshot of the memtable taken now plus the
     /// current set of SSTables; writes performed after this call are not
     /// reflected.
+    ///
+    /// Cost contract: the snapshot copies only the memtable entries inside
+    /// the range, SSTables whose key span misses the range are never
+    /// opened, and each remaining table is entered through its sparse
+    /// index. Beyond the entries it returns (and the tombstones and
+    /// shadowed versions inside the range), a scan decodes per table at
+    /// most one sparse-index segment before `start` and one look-ahead
+    /// entry past `end`, plus one more look-ahead for the table that ends
+    /// the scan.
     pub fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<RangeIter> {
         Metrics::incr(&self.metrics.range_scans);
-        // An inverted or empty range is a no-op, not a panic (BTreeMap's
-        // `range` would panic on start > end).
-        let inverted = match (&start, &end) {
-            (Bound::Included(s) | Bound::Excluded(s), Bound::Included(e)) => s > e,
-            (Bound::Included(s), Bound::Excluded(e)) => s >= e,
-            (Bound::Excluded(s), Bound::Excluded(e)) => s >= e,
-            _ => false,
-        };
-        if inverted {
+        let metrics = Arc::clone(&self.metrics);
+        if range_is_inverted(start, end) {
             return Ok(RangeIter {
                 merge: MergeIter::new(Vec::new())?,
                 start: Bound::Unbounded,
                 end: Bound::Unbounded,
                 done: true,
+                returned: 0,
+                metrics,
             });
         }
         let inner = self.inner.read().expect("lock poisoned");
@@ -538,7 +544,7 @@ impl KvStore {
         // Memtable snapshot is the newest source.
         let mem_entries: Vec<SsEntry> = inner
             .memtable
-            .range(start, Bound::Unbounded)
+            .range(start, end)
             .map(|(k, slot)| SsEntry {
                 key: k.clone(),
                 slot: slot.clone(),
@@ -546,27 +552,23 @@ impl KvStore {
             .collect();
         sources.push(Box::new(VecSource::new(mem_entries)));
         for table in inner.tables.iter().rev() {
+            if !table.overlaps(start, end) {
+                continue;
+            }
             let iter = match start {
-                Bound::Included(k) | Bound::Excluded(k) => table.seek(k)?,
-                Bound::Unbounded => table.iter()?,
+                Bound::Included(k) | Bound::Excluded(k) => table.seek(k),
+                Bound::Unbounded => table.iter(),
             };
             sources.push(Box::new(iter));
         }
-        let start_owned = match start {
-            Bound::Included(k) => Bound::Included(Bytes::copy_from_slice(k)),
-            Bound::Excluded(k) => Bound::Excluded(Bytes::copy_from_slice(k)),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        let end_owned = match end {
-            Bound::Included(k) => Bound::Included(Bytes::copy_from_slice(k)),
-            Bound::Excluded(k) => Bound::Excluded(Bytes::copy_from_slice(k)),
-            Bound::Unbounded => Bound::Unbounded,
-        };
+        drop(inner);
         Ok(RangeIter {
             merge: MergeIter::new(sources)?,
-            start: start_owned,
-            end: end_owned,
+            start: start.map(Bytes::copy_from_slice),
+            end: end.map(Bytes::copy_from_slice),
             done: false,
+            returned: 0,
+            metrics,
         })
     }
 
@@ -670,8 +672,8 @@ impl KvStore {
             let sources: Vec<Box<dyn EntrySource + Send>> = snap_tables
                 .iter()
                 .rev()
-                .map(|t| t.iter().map(|i| Box::new(i) as Box<dyn EntrySource + Send>))
-                .collect::<Result<_>>()?;
+                .map(|t| Box::new(t.iter()) as Box<dyn EntrySource + Send>)
+                .collect();
             let mut merge = MergeIter::new(sources)?;
             while let Some((key, value)) = merge.next_live()? {
                 writer.add(&key, &Slot::Value(value))?;
@@ -808,6 +810,18 @@ impl Default for StorageStats {
     }
 }
 
+/// `true` when `(start, end)` can hold no key because start lies past end.
+/// Both engines answer such a range with an empty scan instead of handing it
+/// to `BTreeMap::range`, which panics on it.
+pub(crate) fn range_is_inverted(start: Bound<&[u8]>, end: Bound<&[u8]>) -> bool {
+    match (start, end) {
+        (Bound::Included(s) | Bound::Excluded(s), Bound::Included(e)) => s > e,
+        (Bound::Included(s), Bound::Excluded(e)) => s >= e,
+        (Bound::Excluded(s), Bound::Excluded(e)) => s >= e,
+        _ => false,
+    }
+}
+
 /// Smallest byte string strictly greater than every string with `prefix`.
 /// `None` when the prefix is all `0xFF` (no upper bound exists).
 pub fn prefix_end(prefix: &[u8]) -> Option<Vec<u8>> {
@@ -824,14 +838,29 @@ pub fn prefix_end(prefix: &[u8]) -> Option<Vec<u8>> {
 
 /// Snapshot iterator over a key range; yields live `(key, value)` pairs in
 /// ascending key order.
+///
+/// The scan's work (`range_entries_visited` / `range_entries_returned` in
+/// [`MetricsSnapshot`]) is charged to the store once, when the iterator
+/// reaches the end of its range or is dropped, whichever comes first.
 pub struct RangeIter {
     merge: MergeIter,
     start: Bound<Bytes>,
     end: Bound<Bytes>,
     done: bool,
+    returned: u64,
+    metrics: Arc<Metrics>,
 }
 
 impl RangeIter {
+    /// Mark the scan finished and charge its work, at most once.
+    fn finish(&mut self) {
+        if !self.done {
+            self.done = true;
+            self.metrics
+                .record_scan(self.merge.entries_visited(), self.returned);
+        }
+    }
+
     fn within_start(&self, key: &[u8]) -> bool {
         match &self.start {
             Bound::Included(s) => key >= &s[..],
@@ -859,12 +888,12 @@ impl RangeIter {
                 continue; // sstable seek may land slightly before start
             }
             if !self.within_end(&key) {
-                self.done = true;
-                return Ok(None);
+                break;
             }
+            self.returned += 1;
             return Ok(Some((key, value)));
         }
-        self.done = true;
+        self.finish();
         Ok(None)
     }
 
@@ -875,6 +904,12 @@ impl RangeIter {
             out.push(pair);
         }
         Ok(out)
+    }
+}
+
+impl Drop for RangeIter {
+    fn drop(&mut self) {
+        self.finish();
     }
 }
 
@@ -1517,6 +1552,77 @@ mod tests {
         for i in 0..200 {
             let k = format!("key{i:04}");
             assert_eq!(db.get(k.as_bytes()).unwrap().unwrap(), &b"round5"[..]);
+        }
+    }
+
+    #[test]
+    fn range_work_is_charged_once_when_finished_or_dropped() {
+        let dir = TempDir::new("range-work");
+        let db = open(&dir);
+        for k in ["a", "b", "c", "d"] {
+            db.put(k.as_bytes().to_vec(), &b"v"[..]).unwrap();
+        }
+        db.delete(&b"b"[..]).unwrap();
+        let mut iter = db
+            .range(Bound::Included(&b"a"[..]), Bound::Excluded(&b"d"[..]))
+            .unwrap();
+        assert!(iter.next().unwrap().is_some());
+        assert_eq!(db.metrics().range_entries_visited, 0, "nothing until done");
+        assert!(iter.next().unwrap().is_some());
+        assert!(iter.next().unwrap().is_none());
+        // Snapshot a, b (tombstone), c: three visited, two returned.
+        let m = db.metrics();
+        assert_eq!((m.range_entries_visited, m.range_entries_returned), (3, 2));
+        assert!(iter.next().unwrap().is_none());
+        drop(iter);
+        assert_eq!(db.metrics().range_entries_visited, 3, "charged once");
+        // A scan dropped early still charges what it copied and returned.
+        let mut iter = db.range(Bound::Unbounded, Bound::Unbounded).unwrap();
+        assert!(iter.next().unwrap().is_some());
+        drop(iter);
+        let m = db.metrics();
+        assert_eq!((m.range_entries_visited, m.range_entries_returned), (7, 3));
+    }
+
+    #[test]
+    fn range_iter_outlives_compaction_of_its_tables() {
+        let dir = TempDir::new("scan-vs-compact");
+        let opts = Options {
+            memtable_max_bytes: 1 << 20,
+            compaction_trigger: 0,
+            ..Options::small_for_tests()
+        };
+        let db = KvStore::open(&dir.0, opts).unwrap();
+        // Three tables of ~60 KiB each: far more than one seek buffer, so
+        // the scan keeps reading its tables after they are unlinked.
+        let value = |round: usize, i: usize| format!("round{round}-{i:04}-{}", "v".repeat(300));
+        for round in 0..3 {
+            for i in 0..200 {
+                db.put(format!("key{i:04}"), value(round, i)).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        let inputs: Vec<PathBuf> = std::fs::read_dir(&dir.0)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+            .collect();
+        assert_eq!(inputs.len(), 3);
+        let mut iter = db
+            .range(Bound::Included(&b"key"[..]), Bound::Unbounded)
+            .unwrap();
+        let (first, _) = iter.next().unwrap().unwrap();
+        assert_eq!(&first[..], b"key0000");
+        db.compact().unwrap();
+        assert!(
+            inputs.iter().all(|p| !p.exists()),
+            "compaction deletes its input tables"
+        );
+        let rest = iter.collect_all().unwrap();
+        assert_eq!(rest.len(), 199, "the snapshot survives the compaction");
+        for (n, (k, v)) in rest.iter().enumerate() {
+            assert_eq!(&k[..], format!("key{:04}", n + 1).as_bytes());
+            assert_eq!(&v[..], value(2, n + 1).as_bytes());
         }
     }
 

@@ -48,7 +48,7 @@ use crate::engine::ENGINE_MARKER;
 use crate::error::{Error, Result};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::options::{Backend, Options};
-use crate::store::{prefix_end, StorageStats};
+use crate::store::{prefix_end, range_is_inverted, StorageStats};
 use crate::wal::Wal;
 
 fn vlog_path(dir: &Path, num: u64) -> PathBuf {
@@ -105,7 +105,8 @@ pub struct LogStore {
     dir: PathBuf,
     options: Options,
     inner: RwLock<VInner>,
-    metrics: Metrics,
+    /// Shared with every open [`LogRangeIter`] (see [`crate::RangeIter`]).
+    metrics: Arc<Metrics>,
     tel: Telemetry,
     /// Serializes merges so two compactions never race over one input set.
     compaction_gate: Mutex<()>,
@@ -384,7 +385,7 @@ impl LogStore {
             }),
             dir,
             options,
-            metrics: Metrics::default(),
+            metrics: Arc::default(),
             tel,
             compaction_gate: Mutex::new(()),
         })
@@ -526,17 +527,12 @@ impl LogStore {
     /// not reflected, and a concurrent compaction cannot invalidate it.
     pub fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<LogRangeIter> {
         Metrics::incr(&self.metrics.range_scans);
-        // An inverted or empty range is a no-op, not a panic (BTreeMap's
-        // `range` would panic on start > end).
-        let inverted = match (&start, &end) {
-            (Bound::Included(s) | Bound::Excluded(s), Bound::Included(e)) => s > e,
-            (Bound::Included(s), Bound::Excluded(e)) => s >= e,
-            (Bound::Excluded(s), Bound::Excluded(e)) => s >= e,
-            _ => false,
-        };
-        if inverted {
+        if range_is_inverted(start, end) {
             return Ok(LogRangeIter {
                 entries: Vec::new().into_iter(),
+                visited: 0,
+                returned: 0,
+                metrics: None,
             });
         }
         let inner = self.inner.read().expect("lock poisoned");
@@ -554,7 +550,10 @@ impl LogStore {
             })
             .collect();
         Ok(LogRangeIter {
+            visited: entries.len() as u64,
             entries: entries.into_iter(),
+            returned: 0,
+            metrics: Some(Arc::clone(&self.metrics)),
         })
     }
 
@@ -865,8 +864,14 @@ fn read_value(reader: &File, loc: ValueLoc) -> Result<Bytes> {
 /// Snapshot iterator over a key range of a [`LogStore`]; yields live
 /// `(key, value)` pairs in ascending key order. Values are read lazily, one
 /// `pread` per entry, against reader handles captured at snapshot time.
+/// Like [`crate::RangeIter`], it charges its scan work once, on reaching
+/// the end or on drop; every snapshot entry counts as visited.
 pub struct LogRangeIter {
     entries: std::vec::IntoIter<(Bytes, ValueLoc, Arc<File>)>,
+    visited: u64,
+    returned: u64,
+    /// Taken when the work is charged, so it is charged once.
+    metrics: Option<Arc<Metrics>>,
 }
 
 impl LogRangeIter {
@@ -877,8 +882,21 @@ impl LogRangeIter {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<(Bytes, Bytes)>> {
         match self.entries.next() {
-            Some((key, loc, reader)) => Ok(Some((key, read_value(&reader, loc)?))),
-            None => Ok(None),
+            Some((key, loc, reader)) => {
+                let value = read_value(&reader, loc)?;
+                self.returned += 1;
+                Ok(Some((key, value)))
+            }
+            None => {
+                self.finish();
+                Ok(None)
+            }
+        }
+    }
+
+    fn finish(&mut self) {
+        if let Some(metrics) = self.metrics.take() {
+            metrics.record_scan(self.visited, self.returned);
         }
     }
 
@@ -889,6 +907,12 @@ impl LogRangeIter {
             out.push(kv);
         }
         Ok(out)
+    }
+}
+
+impl Drop for LogRangeIter {
+    fn drop(&mut self) {
+        self.finish();
     }
 }
 
@@ -995,6 +1019,13 @@ mod tests {
             .collect_all()
             .unwrap();
         assert!(none.is_empty());
+        // Scans visit exactly the index entries in range: 4 + 2 + 0, plus
+        // one entry of a scan dropped after its first step.
+        let mut partial = db.prefix(b"b:").unwrap();
+        assert!(partial.next().unwrap().is_some());
+        drop(partial);
+        let m = db.metrics();
+        assert_eq!((m.range_entries_visited, m.range_entries_returned), (7, 7));
     }
 
     #[test]

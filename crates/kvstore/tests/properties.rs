@@ -215,6 +215,128 @@ fn inverted_range_is_empty() {
     check_range(&entries, b"b", b"a", 0);
 }
 
+/// Keys strictly below and strictly above `key`, for tombstones that
+/// straddle a range bound.
+fn neighbours(key: &[u8]) -> [Vec<u8>; 2] {
+    let below = match key.split_last() {
+        Some((_, rest)) if !rest.is_empty() => rest.to_vec(),
+        Some((last, _)) => vec![last.saturating_sub(1)],
+        None => Vec::new(),
+    };
+    let mut above = key.to_vec();
+    above.push(0);
+    [below, above]
+}
+
+fn within(key: &[u8], start: Bound<&[u8]>, end: Bound<&[u8]>) -> bool {
+    let after_start = match start {
+        Bound::Included(s) => key >= s,
+        Bound::Excluded(s) => key > s,
+        Bound::Unbounded => true,
+    };
+    let before_end = match end {
+        Bound::Included(e) => key <= e,
+        Bound::Excluded(e) => key < e,
+        Bound::Unbounded => true,
+    };
+    after_start && before_end
+}
+
+/// Every bound pair (Included / Excluded / Unbounded on each end) over a
+/// store whose writes and deletes are spread across two flushed tables and
+/// the live memtable, with tombstones on both sides of each bound key. The
+/// scan must return exactly the model's live keys in range, and the
+/// store's range counters must charge exactly what the scan returned.
+#[test]
+fn range_bounds_across_tables_and_memtable_match_model() {
+    check_cases(CASES, |rng| {
+        let (s, e) = (gen_key(rng), gen_key(rng));
+        let seed = rng.next_u64();
+        let dir = TempDir::new(seed.wrapping_add(4_000_000));
+        // A large memtable and no automatic compaction: the layout is
+        // exactly the two flushes below plus the live memtable.
+        let options = Options {
+            memtable_max_bytes: 1 << 20,
+            compaction_trigger: 0,
+            ..Options::small_for_tests()
+        };
+        let db = KvStore::open(&dir.0, options).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        // Bound keys and their neighbours, each put, deleted or left alone
+        // in every source, so a bound key can be a table's first or last
+        // key, live or shadowed by a newer tombstone.
+        let edges: Vec<Vec<u8>> = [s.clone(), e.clone()]
+            .iter()
+            .flat_map(|k| {
+                let [below, above] = neighbours(k);
+                [below, k.clone(), above]
+            })
+            .collect();
+        for phase in 0..3 {
+            for _ in 0..rng.gen_range(0..12usize) {
+                let k = gen_key(rng);
+                if rng.gen_range(0..4u32) == 0 {
+                    db.delete(k.clone()).unwrap();
+                    model.remove(&k);
+                } else {
+                    let v = gen_value(rng);
+                    db.put(k.clone(), v.clone()).unwrap();
+                    model.insert(k, v);
+                }
+            }
+            for k in &edges {
+                match rng.gen_range(0..3u32) {
+                    0 => {
+                        let v = gen_value(rng);
+                        db.put(k.clone(), v.clone()).unwrap();
+                        model.insert(k.clone(), v);
+                    }
+                    1 => {
+                        db.delete(k.clone()).unwrap();
+                        model.remove(k);
+                    }
+                    _ => {}
+                }
+            }
+            if phase < 2 {
+                db.flush().unwrap();
+            }
+        }
+        assert_eq!(db.table_count(), 2);
+        let kinds = |k: &[u8]| {
+            let k = k.to_vec();
+            [
+                Bound::Included(k.clone()),
+                Bound::Excluded(k),
+                Bound::Unbounded,
+            ]
+        };
+        for start in kinds(&s) {
+            for end in kinds(&e) {
+                let (start, end) = (start.as_ref().map(|k| &k[..]), end.as_ref().map(|k| &k[..]));
+                let before = db.metrics();
+                let got: Vec<(Vec<u8>, Vec<u8>)> = db
+                    .range(start, end)
+                    .unwrap()
+                    .collect_all()
+                    .unwrap()
+                    .into_iter()
+                    .map(|(k, v)| (k.to_vec(), v.to_vec()))
+                    .collect();
+                let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                    .iter()
+                    .filter(|(k, _)| within(k, start, end))
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                assert_eq!(got, want, "range {start:?}..{end:?}");
+                let work = db.metrics().diff(&before);
+                assert_eq!(work.range_entries_returned, got.len() as u64);
+                assert!(work.range_entries_visited >= work.range_entries_returned);
+            }
+        }
+    });
+}
+
 #[test]
 fn prefix_scan_matches_model() {
     check_cases(CASES, |rng| {

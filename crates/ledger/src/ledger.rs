@@ -1111,8 +1111,9 @@ impl Ledger {
 
     /// Refresh occupancy gauges on the shared telemetry registry: chain
     /// height, block-cache residency and the storage shape (SSTable count,
-    /// WAL bytes, memtable occupancy) of the state and index stores. Cheap
-    /// enough to call on every metrics scrape.
+    /// WAL bytes, memtable occupancy, range-scan entries visited/returned)
+    /// of the state and index stores. Cheap enough to call on every metrics
+    /// scrape.
     pub fn publish_gauges(&self) {
         let reg = self.tel.registry();
         reg.gauge("ledger.height").set(self.height() as i64);
@@ -1168,14 +1169,20 @@ impl Ledger {
         // fsync count is the headline durability cost; the batch/commit
         // ratio shows how much coalescing (pipelined backlog or concurrent
         // group commit) is actually happening.
+        // Range-scan work per store rides along: entries visited far above
+        // entries returned means scans pay for keys outside their range.
         let sm = self.state.store().metrics();
         set("statedb.wal_fsyncs", sm.wal_fsyncs);
         set("statedb.group_commits", sm.group_commits);
         set("statedb.group_commit_batches", sm.group_commit_batches);
+        set("statedb.range_entries_visited", sm.range_entries_visited);
+        set("statedb.range_entries_returned", sm.range_entries_returned);
         let im = self.index.store().metrics();
         set("indexdb.wal_fsyncs", im.wal_fsyncs);
         set("indexdb.group_commits", im.group_commits);
         set("indexdb.group_commit_batches", im.group_commit_batches);
+        set("indexdb.range_entries_visited", im.range_entries_visited);
+        set("indexdb.range_entries_returned", im.range_entries_returned);
         // Process-level memory: RSS from /proc plus counting-allocator
         // totals (zero when the binary runs on the system allocator).
         fabric_telemetry::alloc::publish_memory_gauges(&self.tel);
@@ -1790,6 +1797,10 @@ mod tests {
             "indexdb.wal_bytes",
             "indexdb.memtable_entries",
             "indexdb.memtable_bytes",
+            "statedb.range_entries_visited",
+            "statedb.range_entries_returned",
+            "indexdb.range_entries_visited",
+            "indexdb.range_entries_returned",
         ] {
             assert!(snap.gauge(name).is_some(), "missing gauge {name}");
         }

@@ -5,6 +5,7 @@
 use fabric_ledger::{Ledger, LedgerConfig};
 use fabric_workload::dataset::{generate_scaled, params_scaled, DatasetId};
 use fabric_workload::ingest::{ingest, IdentityEncoder, IngestMode};
+use fabric_workload::{EntityId, Event, EventKind};
 use temporal_core::interval::Interval;
 use temporal_core::join::ferry_query;
 use temporal_core::m1::{M1Engine, M1Indexer};
@@ -56,6 +57,86 @@ fn ds1_scale20_fingerprint_is_pinned() {
     )
     .unwrap();
     assert_eq!(report.blocks, 382);
+}
+
+/// One GHFK call on an unflushed ledger and the history-index range work it
+/// caused: `(entries returned, entries visited − entries returned, sources)`
+/// where sources is the memtable plus every index SSTable.
+fn ghfk_scan_work(ledger: &Ledger, key: &[u8]) -> (i64, i64, i64) {
+    let gauges = |ledger: &Ledger| {
+        ledger.publish_gauges();
+        let snap = ledger.telemetry().snapshot();
+        let g = |name: &str| snap.gauge(name).expect(name);
+        (
+            g("indexdb.range_entries_visited"),
+            g("indexdb.range_entries_returned"),
+            g("indexdb.sstables"),
+        )
+    };
+    let (visited0, returned0, _) = gauges(ledger);
+    let mut history = ledger.get_history_for_key(key).unwrap();
+    let mut states = 0;
+    while history.next().unwrap().is_some() {
+        states += 1;
+    }
+    drop(history);
+    let (visited1, returned1, sstables) = gauges(ledger);
+    let returned = returned1 - returned0;
+    assert_eq!(returned, states, "one index entry per historical state");
+    (returned, visited1 - visited0 - returned, 1 + sstables)
+}
+
+/// The history index scan behind GHFK costs what it returns: beyond its
+/// own entries it decodes at most `sources × sparse_index_interval +
+/// sources` entries (the kvstore's scan cost contract), and 10,000 larger,
+/// unrelated keys in the index memtable add nothing to that.
+#[test]
+fn ghfk_index_scan_work_is_bounded_by_its_range() {
+    let workload = ds1();
+    let dir = TempDir::new("scan-work");
+    let mut config = LedgerConfig::default();
+    // Big enough that neither ingest below flushes the index memtable.
+    config.index_db.memtable_max_bytes = 64 << 20;
+    let interval = config.index_db.sparse_index_interval as i64;
+    let ledger = Ledger::open(&dir.0, config).unwrap();
+    ingest(
+        &ledger,
+        &workload.events,
+        IngestMode::MultiEvent,
+        &IdentityEncoder,
+    )
+    .unwrap();
+    // The smallest key: every other history key sorts after its prefix.
+    let key = workload.keys().into_iter().min().unwrap().key();
+    let (returned, gap, sources) = ghfk_scan_work(&ledger, &key);
+    assert!(returned > 0);
+    assert_eq!(sources, 1, "the ledger is unflushed");
+    assert!(
+        gap <= sources * interval + sources,
+        "visited − returned = {gap} over {sources} source(s)"
+    );
+    // 10,000 shipments no dataset key uses, all sorting after `key`.
+    let unrelated: Vec<Event> = (0..10_000u32)
+        .map(|i| Event {
+            subject: EntityId::shipment(90_000 + i),
+            target: EntityId::container(0),
+            time: workload.params.t_max + 1 + u64::from(i),
+            kind: EventKind::Load,
+        })
+        .collect();
+    ingest(
+        &ledger,
+        &unrelated,
+        IngestMode::MultiEvent,
+        &IdentityEncoder,
+    )
+    .unwrap();
+    let (returned_after, gap_after, sources_after) = ghfk_scan_work(&ledger, &key);
+    assert_eq!((returned_after, sources_after), (returned, 1));
+    assert!(
+        gap_after <= gap,
+        "unrelated memtable keys grew the scan's waste from {gap} to {gap_after}"
+    );
 }
 
 /// Nine Table-I style windows.
