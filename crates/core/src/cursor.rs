@@ -22,6 +22,7 @@ use fabric_workload::{EntityId, Event};
 
 use crate::engine::decode_event;
 use crate::interval::Interval;
+use crate::m1::ThetaCell;
 
 /// A pull-based stream of one key's events inside a query interval,
 /// ascending by time. Implementations are lazy: work (block reads, value
@@ -170,7 +171,7 @@ pub struct M1Cursor<'l> {
     ledger: &'l Ledger,
     key: EntityId,
     tau: Interval,
-    thetas: std::vec::IntoIter<Interval>,
+    cells: std::vec::IntoIter<ThetaCell>,
     /// Events of the current index interval, already filtered to `tau`.
     pending: VecDeque<Event>,
     tail: M1Tail<'l>,
@@ -179,15 +180,16 @@ pub struct M1Cursor<'l> {
 }
 
 impl<'l> M1Cursor<'l> {
-    /// Build from pre-resolved index intervals (ascending, overlapping
-    /// `tau`) and an optional residual window. `span` is the open `m1.key`
-    /// operator span. Called by `M1Engine::events_cursor`, which resolves
-    /// the intervals from the on-chain metadata.
+    /// Build from resolved index cells (ascending θ, overlapping `tau`,
+    /// each with its composite key's history locations) and an optional
+    /// residual window. `span` is the open `m1.key` operator span. The
+    /// M1 engine resolves the cells itself; the planner hands over the
+    /// ones its occupancy probes already resolved.
     pub(crate) fn new(
         ledger: &'l Ledger,
         key: EntityId,
         tau: Interval,
-        thetas: Vec<Interval>,
+        cells: Vec<ThetaCell>,
         residual: Option<Interval>,
         span: SpanGuard,
     ) -> Self {
@@ -195,7 +197,7 @@ impl<'l> M1Cursor<'l> {
             ledger,
             key,
             tau,
-            thetas: thetas.into_iter(),
+            cells: cells.into_iter(),
             pending: VecDeque::new(),
             tail: match residual {
                 Some(window) => M1Tail::Pending(window),
@@ -212,9 +214,9 @@ impl EventCursor for M1Cursor<'_> {
             if let Some(ev) = self.pending.pop_front() {
                 return Ok(Some(ev));
             }
-            if let Some(theta) = self.thetas.next() {
+            if let Some(cell) = self.cells.next() {
                 let mut buf = Vec::new();
-                crate::m1::read_index(self.ledger, self.key, theta, self.tau, &mut buf)?;
+                crate::m1::read_cell(self.ledger, self.key, cell, self.tau, &mut buf)?;
                 self.pending.extend(buf);
                 continue;
             }

@@ -24,6 +24,7 @@
 use fabric_kvstore::Bytes;
 
 use fabric_ledger::codec::{put_u64, put_uvarint, Cursor};
+use fabric_ledger::index::HistoryLocation;
 use fabric_ledger::{Error, Ledger, Result, TxSimulator};
 use fabric_workload::{EntityId, Event};
 
@@ -547,21 +548,41 @@ impl Default for M1Engine {
     }
 }
 
-/// Read the first historical state of `(key, theta)` — one block — and
-/// filter its events to `tau`.
-pub(crate) fn read_index(
+/// One index cell a query for `key` reads: an interval θ and the history
+/// locations of its composite key `(k,θ)` — empty when `EV(k,θ)` was empty
+/// and the indexer wrote no pair.
+#[derive(Debug, Clone)]
+pub(crate) struct ThetaCell {
+    pub(crate) theta: Interval,
+    pub(crate) locations: Vec<HistoryLocation>,
+}
+
+/// Where `(key, theta)`'s composite key was written: an index range read,
+/// no block deserialized and no I/O counter moved. The planner's occupancy
+/// probe and the M1 engine's cell resolution are this one read.
+pub(crate) fn probe_cell(
     ledger: &Ledger,
     key: EntityId,
     theta: Interval,
+) -> Result<Vec<HistoryLocation>> {
+    ledger.history_locations(&theta.composite_key(&key.key()))
+}
+
+/// Read the first historical state of a resolved cell — one block — and
+/// filter its events to `tau`.
+pub(crate) fn read_cell(
+    ledger: &Ledger,
+    key: EntityId,
+    cell: ThetaCell,
     tau: Interval,
     out: &mut Vec<Event>,
 ) -> Result<()> {
     let _span = ledger
         .telemetry()
         .span("m1.theta")
-        .with_label(theta.to_string());
-    let composite = theta.composite_key(&key.key());
-    let mut iter = ledger.get_history_for_key(&composite)?;
+        .with_label(cell.theta.to_string());
+    let composite = cell.theta.composite_key(&key.key());
+    let mut iter = ledger.get_history_at(&composite, cell.locations);
     // First state only: the event set. The subsequent delete marker's
     // block is never deserialized (lazy iterator).
     let Some(state) = iter.next()? else {
@@ -642,14 +663,20 @@ impl TemporalEngine for M1Engine {
             .with_label(key.to_string());
         let meta = read_meta(ledger)?
             .ok_or_else(|| Error::InvalidArgument("M1 indexes have not been built".to_string()))?;
-        let thetas = overlapping_thetas(ledger, key, tau, &meta)?;
+        let cells = overlapping_thetas(ledger, key, tau, &meta)?
+            .into_iter()
+            .map(|theta| {
+                let locations = probe_cell(ledger, key, theta)?;
+                Ok(ThetaCell { theta, locations })
+            })
+            .collect::<Result<Vec<_>>>()?;
         let residual = if self.scan_unindexed_tail {
             residual_window(tau, meta.indexed_to())
         } else {
             None
         };
         Ok(Box::new(M1Cursor::new(
-            ledger, key, tau, thetas, residual, span,
+            ledger, key, tau, cells, residual, span,
         )))
     }
 }

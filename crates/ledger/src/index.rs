@@ -216,20 +216,37 @@ impl LedgerIndex {
     /// This is an index scan (cheap, ordered); the expensive part of a
     /// history read is deserializing the blocks these point at.
     pub fn history_locations(&self, key: &[u8]) -> Result<Vec<HistoryLocation>> {
-        Ok(self
-            .history_profile(key)?
-            .into_iter()
-            .map(|e| e.location)
-            .collect())
+        let mut out = Vec::new();
+        self.scan_history_profile(key, |e| {
+            out.push(e.location);
+            true
+        })?;
+        Ok(out)
     }
 
     /// All history entries for `key` with their stored timestamps, oldest
     /// first. Like [`LedgerIndex::history_locations`] this touches only the
     /// index, never the block files.
     pub fn history_profile(&self, key: &[u8]) -> Result<Vec<HistoryEntryMeta>> {
+        let mut out = Vec::new();
+        self.scan_history_profile(key, |e| {
+            out.push(*e);
+            true
+        })?;
+        Ok(out)
+    }
+
+    /// Stream `key`'s history entries to `visit`, oldest first, until it
+    /// returns `false` or the history ends. The prefix scan stops with the
+    /// visitor: entries past the one that said `false` are never decoded,
+    /// so a caller that needs only a prefix pays only for that prefix.
+    pub fn scan_history_profile(
+        &self,
+        key: &[u8],
+        mut visit: impl FnMut(&HistoryEntryMeta) -> bool,
+    ) -> Result<()> {
         let prefix = history_prefix(key);
         let mut iter = self.db.prefix(&prefix)?;
-        let mut out = Vec::new();
         while let Some((k, v)) = iter.next()? {
             let suffix = &k[prefix.len()..];
             if suffix.len() != 12 {
@@ -248,15 +265,18 @@ impl LedgerIndex {
                     )));
                 }
             };
-            out.push(HistoryEntryMeta {
+            let entry = HistoryEntryMeta {
                 location: HistoryLocation {
                     block_num: u64::from_be_bytes(suffix[..8].try_into().unwrap()),
                     tx_num: u32::from_be_bytes(suffix[8..12].try_into().unwrap()),
                 },
                 timestamp,
-            });
+            };
+            if !visit(&entry) {
+                break;
+            }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Where the transaction with `id` was committed, if anywhere.

@@ -63,6 +63,8 @@ type BlockEffects = (
 pub struct Ledger {
     #[allow(dead_code)]
     dir: PathBuf,
+    /// Process-unique id of this open handle (see [`Ledger::instance_id`]).
+    instance: u64,
     stats: Arc<IoStats>,
     tel: Telemetry,
     blockfiles: Arc<BlockFileManager>,
@@ -518,8 +520,10 @@ impl Ledger {
         } else {
             0
         };
+        static NEXT_INSTANCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let mut ledger = Ledger {
             dir,
+            instance: NEXT_INSTANCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             stats,
             tel,
             blockfiles,
@@ -981,32 +985,81 @@ impl Ledger {
         self.index.history_profile(key)
     }
 
+    /// Streaming form of [`Ledger::history_profile`]: hands entries to
+    /// `visit` oldest first and stops reading the index as soon as it
+    /// returns `false`, so a planner that can decide on a prefix of the
+    /// history pays only for that prefix.
+    pub fn scan_history_profile(
+        &self,
+        key: &[u8],
+        visit: impl FnMut(&crate::index::HistoryEntryMeta) -> bool,
+    ) -> Result<()> {
+        self.index.scan_history_profile(key, visit)
+    }
+
+    /// The first half of [`Ledger::get_history_for_key`]: where `key`'s
+    /// historical states live, oldest first. A pure index scan that moves
+    /// no [`IoStats`] counter; [`Ledger::get_history_at`] iterates the
+    /// result, so a caller that already resolved a key (a planner probing
+    /// index cells) does not scan the index a second time.
+    pub fn history_locations(&self, key: &[u8]) -> Result<Vec<HistoryLocation>> {
+        self.index.history_locations(key)
+    }
+
+    /// The second half of [`Ledger::get_history_for_key`]: a lazy history
+    /// iterator over `locations` as returned by
+    /// [`Ledger::history_locations`] for the same `key`. Accounted exactly
+    /// like a `GetHistoryForKey` call — one `ghfk_calls` tick, a `ghfk`
+    /// span, the same coalesced per-block runs.
+    pub fn get_history_at(
+        &self,
+        key: &[u8],
+        locations: Vec<HistoryLocation>,
+    ) -> HistoryIterator<'_> {
+        let span = self.open_ghfk(key);
+        self.history_over(key, locations, span)
+    }
+
+    /// Count one GHFK call and open its span. The span lives inside the
+    /// iterator: per-block deserialize spans nest under it for as long as
+    /// the cursor is alive, so a trace shows exactly which blocks each
+    /// GHFK call paid for.
+    fn open_ghfk(&self, key: &[u8]) -> SpanGuard {
+        IoStats::incr(&self.stats.ghfk_calls);
+        self.tel
+            .span("ghfk")
+            .with_label(String::from_utf8_lossy(key).into_owned())
+    }
+
     fn history_iterator(
         &self,
         key: &[u8],
         after_ts: Option<Timestamp>,
     ) -> Result<HistoryIterator<'_>> {
-        IoStats::incr(&self.stats.ghfk_calls);
-        // The span lives inside the iterator: per-block deserialize spans
-        // nest under it for as long as the cursor is alive, so a trace
-        // shows exactly which blocks each GHFK call paid for.
-        let span = self
-            .tel
-            .span("ghfk")
-            .with_label(String::from_utf8_lossy(key).into_owned());
-        let locations: Vec<HistoryLocation> = match after_ts {
+        let span = self.open_ghfk(key);
+        let locations = match after_ts {
             None => self.index.history_locations(key)?,
-            Some(bound) => self
-                .index
-                .history_profile(key)?
-                .into_iter()
-                .filter(|e| match e.timestamp {
-                    Some(ts) => ts > bound,
-                    None => true,
-                })
-                .map(|e| e.location)
-                .collect(),
+            Some(bound) => {
+                let mut out = Vec::new();
+                self.index.scan_history_profile(key, |e| {
+                    match e.timestamp {
+                        Some(ts) if ts <= bound => {}
+                        _ => out.push(e.location),
+                    }
+                    true
+                })?;
+                out
+            }
         };
+        Ok(self.history_over(key, locations, span))
+    }
+
+    fn history_over(
+        &self,
+        key: &[u8],
+        locations: Vec<HistoryLocation>,
+        span: SpanGuard,
+    ) -> HistoryIterator<'_> {
         let remaining = locations.len();
         let mut blocks_hint = 0usize;
         let mut prev_block = None;
@@ -1034,14 +1087,14 @@ impl Ledger {
                 current_block: None,
             }
         };
-        Ok(HistoryIterator {
+        HistoryIterator {
             ledger: self,
             key: Bytes::copy_from_slice(key),
             source,
             remaining,
             blocks_hint,
             span,
-        })
+        }
     }
 
     /// Direct access to the state database (used by index-maintenance code
@@ -1101,6 +1154,14 @@ impl Ledger {
     /// counters against this ledger).
     pub fn stats_handle(&self) -> Arc<IoStats> {
         self.stats.clone()
+    }
+
+    /// Process-unique id of this open handle, never reused. A cache of
+    /// index reads shared across ledgers keys by it, so it never serves one
+    /// ledger's rows to another — not even to a ledger later opened at the
+    /// same address.
+    pub fn instance_id(&self) -> u64 {
+        self.instance
     }
 
     /// The telemetry handle shared by the block files, index store and

@@ -19,6 +19,9 @@
 //!    fixed-θ daemon's and to TQF (θ only changes cost, never results).
 //! 6. (property) Random windows agree across TQF / M1 / auto on a
 //!    daemon-maintained chain.
+//! 7. Planner handoff — one long-lived auto planner, whose cached θ probes
+//!    decide which index cells an M1 plan reads, stays exact while ingest
+//!    chunks and daemon epochs move the chain and the index under it.
 
 use std::sync::Arc;
 
@@ -428,6 +431,69 @@ fn adaptive_theta_answers_match_fixed_theta_and_tqf() {
                 "adaptive vs fixed θ for {key} over {tau}"
             );
         }
+    }
+}
+
+/// The planner's probe cache decides which θ cells an M1 plan's cursor
+/// reads. One `AutoEngine` kept across interleaved ingest chunks and daemon
+/// epochs — fixed and adaptive θ — must answer like TQF at every step: cache
+/// hits span new blocks past the horizon, and every epoch invalidates.
+#[test]
+fn long_lived_planner_matches_tqf_across_ingest_and_epochs() {
+    let dir = TempDir::new("planner-handoff");
+    let workload = generate_scaled(DatasetId::Ds3, 40);
+    let events = time_sorted(workload.events.clone());
+    let t_max = workload.params.t_max;
+    let keys = workload.keys();
+    let policies = [
+        ThetaPolicy::Fixed { u: t_max / 25 },
+        ThetaPolicy::Adaptive {
+            target_events: 8,
+            min_u: 100,
+            max_u: 100_000,
+        },
+    ];
+    for (i, policy) in policies.into_iter().enumerate() {
+        let ledger = open(&dir.0, &format!("chain{i}"));
+        ledger.telemetry().enable();
+        let mut daemon = IndexerDaemon::new(
+            ledger.clone(),
+            DaemonConfig {
+                lag_blocks: 1,
+                policy,
+            },
+        )
+        .unwrap();
+        let auto = AutoEngine::default();
+        let check = |step: &str, horizon: u64| {
+            for &key in &keys {
+                for tau in windows(t_max, horizon) {
+                    let tqf = TqfEngine.events_for_key(&ledger, key, tau).unwrap();
+                    let planned = auto.events_for_key(&ledger, key, tau).unwrap();
+                    assert_eq!(
+                        planned, tqf,
+                        "[{i} {step}] auto vs TQF for {key} over {tau}"
+                    );
+                }
+            }
+        };
+        let mut horizon = 0;
+        for part in timestamp_chunks(&events, events.len() / 8 + 1) {
+            ingest(&ledger, part, IngestMode::SingleEvent, &IdentityEncoder).unwrap();
+            // New blocks past an unchanged horizon: cached probes still hit.
+            check("after ingest", horizon);
+            daemon.catch_up().unwrap();
+            horizon = daemon.report().indexed_to;
+            check("after epoch", horizon);
+        }
+        daemon.flush().unwrap();
+        check("after flush", daemon.report().indexed_to);
+        let snap = ledger.telemetry().registry().snapshot();
+        assert!(snap.counter("planner.probe.hit") > 0, "[{i}] no probe hit");
+        assert!(
+            daemon.report().epochs > 1,
+            "[{i}] one epoch tests no invalidation"
+        );
     }
 }
 

@@ -12,6 +12,7 @@ use temporal_core::m1::{M1Engine, M1Indexer};
 use temporal_core::m2::{M2Encoder, M2Engine};
 use temporal_core::partition::FixedLength;
 use temporal_core::tqf::TqfEngine;
+use temporal_core::{drain, AccessPath, AutoEngine, TemporalEngine};
 
 struct TempDir(std::path::PathBuf);
 impl TempDir {
@@ -136,6 +137,75 @@ fn ghfk_index_scan_work_is_bounded_by_its_range() {
     assert!(
         gap_after <= gap,
         "unrelated memtable keys grew the scan's waste from {gap} to {gap_after}"
+    );
+}
+
+/// The auto planner's index work is what its plan reads plus the decision:
+/// on a late window, where M1 wins, one `AutoEngine` cursor returns at most
+/// as many history-index entries as the M1 engine's cursor plus the key's
+/// entries in its first `occupied + 1` blocks. The planner reads the key's
+/// profile only until TQF's worst case exceeds M1's cost, and the M1 cursor
+/// reuses the θ cells the probes resolved instead of scanning them again.
+#[test]
+fn auto_planner_index_work_is_bounded_by_its_decision() {
+    let workload = ds1();
+    let t_max = workload.params.t_max;
+    let dir = TempDir::new("auto-scan-work");
+    let mut config = LedgerConfig::default();
+    // Big enough that neither ingest nor the index build flushes.
+    config.index_db.memtable_max_bytes = 64 << 20;
+    let ledger = Ledger::open(&dir.0, config).unwrap();
+    ingest(
+        &ledger,
+        &workload.events,
+        IngestMode::MultiEvent,
+        &IdentityEncoder,
+    )
+    .unwrap();
+    M1Indexer::fixed(&FixedLength { u: t_max / 75 })
+        .run_epoch(&ledger, &workload.keys(), Interval::new(0, t_max))
+        .unwrap();
+    let returned = |ledger: &Ledger| {
+        ledger.publish_gauges();
+        let snap = ledger.telemetry().snapshot();
+        snap.gauge("indexdb.range_entries_returned")
+            .expect("indexdb.range_entries_returned")
+    };
+    let key = workload.keys().into_iter().min().unwrap();
+    let tau = *sweep(t_max).last().unwrap();
+    let choice = AutoEngine::default().choose(&ledger, key, tau).unwrap();
+    assert_eq!(choice.path, AccessPath::M1 { residual: None });
+    let occupied = choice.m1_blocks.unwrap().0;
+    // The profile prefix the decision needs: the entries of the key's
+    // first `occupied + 1` blocks (a block can hold several of them).
+    let profile = ledger.history_profile(&key.key()).unwrap();
+    let mut blocks = Vec::new();
+    let decision_entries = profile
+        .iter()
+        .take_while(|e| {
+            if blocks.last() != Some(&e.location.block_num) {
+                blocks.push(e.location.block_num);
+            }
+            blocks.len() as u64 <= occupied + 1
+        })
+        .count() as i64;
+    assert!(
+        profile.len() as i64 > 10 * decision_entries,
+        "the key's history ({} entries) must dwarf the bound ({decision_entries})",
+        profile.len()
+    );
+
+    let work = |engine: &dyn TemporalEngine| {
+        let before = returned(&ledger);
+        let events = drain(engine.events_cursor(&ledger, key, tau).unwrap().as_mut()).unwrap();
+        (returned(&ledger) - before, events)
+    };
+    let (m1_work, m1_events) = work(&M1Engine::default());
+    let (auto_work, auto_events) = work(&AutoEngine::default());
+    assert_eq!(auto_events, m1_events);
+    assert!(
+        auto_work <= m1_work + decision_entries,
+        "auto returned {auto_work} index entries, M1 {m1_work}, decision prefix {decision_entries}"
     );
 }
 
